@@ -463,3 +463,58 @@ fn oversized_instances_get_structured_rejections_not_mask_wraparound() {
         aqo(&["optimize", p33.to_str().unwrap(), "--method", "greedy", "--no-cartesian"]);
     assert!(ok, "greedy at n = 33: {err}");
 }
+
+#[test]
+fn observing_does_not_change_tier_cost_or_order() {
+    // A uniform 7-cycle: every relation and edge alike, so many orders tie
+    // and any path with its own tie rule prints a different order.
+    let dir = std::env::temp_dir().join("aqo_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let qon = dir.join("observe7.qon");
+    let mut text = String::from("qon\nvertices 7\n");
+    for v in 0..7 {
+        text += &format!("size {v} 12\n");
+    }
+    for v in 0..7 {
+        text += &format!("edge {v} {} 1/3 4 4\n", (v + 1) % 7);
+    }
+    std::fs::write(&qon, text).unwrap();
+    let trace = dir.join("observe7.jsonl");
+    let trace = trace.to_str().unwrap();
+    let plan_of = |out: &str| -> (String, String, String) {
+        let line = |p: &str| {
+            out.lines().find_map(|l| l.strip_prefix(p)).expect("summary line").to_string()
+        };
+        (line("method : "), line("order  : "), line("cost   : "))
+    };
+    let observers: [&[&str]; 4] =
+        [&[], &["--metrics"], &["--trace-json", trace], &["--metrics", "--trace-json", trace]];
+
+    let mut reference: Option<(String, String, String)> = None;
+    for threads in ["1", "2"] {
+        for obs in observers {
+            let args = |method: bool| {
+                let mut a = vec!["optimize", qon.to_str().unwrap(), "--threads", threads];
+                if method {
+                    a.extend(["--method", "dp"]);
+                }
+                a.extend(obs);
+                a
+            };
+            // Pinned method: the whole summary is identical.
+            let (ok, out, err) = aqo(&args(true));
+            assert!(ok, "--method dp {obs:?} --threads {threads}: {err}");
+            let pinned = plan_of(&out);
+            let want = reference.get_or_insert_with(|| pinned.clone());
+            assert_eq!(&pinned, want, "--method dp {obs:?} --threads {threads}");
+
+            // Default method: observing routes through the driver, whose
+            // dp tier must return the same order and cost.
+            let (ok, out, err) = aqo(&args(false));
+            assert!(ok, "{obs:?} --threads {threads}: {err}");
+            let (label, order, cost) = plan_of(&out);
+            assert!(label == want.0 || label == "driver (dp tier)", "{obs:?}: {label}");
+            assert_eq!((&order, &cost), (&want.1, &want.2), "{obs:?} --threads {threads}");
+        }
+    }
+}

@@ -10,8 +10,8 @@
 //!   memory cap, cancel token);
 //! * isolates panics with `catch_unwind` and treats them like any other
 //!   tier failure;
-//! * retries transient injected failures (see [`faults`]) a bounded number
-//!   of times with doubling backoff;
+//! * retries transient injected failures (see [`aqo_core::faults`]) a
+//!   bounded number of times with doubling backoff;
 //! * on failure, degrades down a configurable fallback chain
 //!   (`dp → bnb → ikkbz → greedy` for QO_N, `exhaustive → greedy` for
 //!   QO_H) until some tier answers;
@@ -28,17 +28,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod faults;
 pub mod report;
 
 pub use report::{Attempt, DriverError, DriverReport, TierFailure};
 
 use aqo_bignum::BigRational;
 use aqo_core::budget::{Budget, CancelToken};
+use aqo_core::faults::{self, with_quiet_panics};
 use aqo_core::qoh::QoHInstance;
 use aqo_core::qon::QoNInstance;
 use aqo_optimizer::pipeline::QohPlan;
-use aqo_optimizer::{branch_bound, ccp, dp, engine, exhaustive, greedy, ikkbz, pipeline, Optimum};
+use aqo_optimizer::{branch_bound, ccp, engine, exhaustive, greedy, ikkbz, pipeline, Optimum};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -80,8 +80,8 @@ impl BudgetSpec {
 }
 
 /// Bounded retry with doubling backoff, applied only to *transient*
-/// failures (injected errors from the [`faults`] layer). Budget trips and
-/// panics never retry: they degrade immediately.
+/// failures (injected errors from the [`aqo_core::faults`] layer). Budget
+/// trips and panics never retry: they degrade immediately.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
     /// Retries per tier after the first attempt (0 disables retry).
@@ -99,7 +99,9 @@ impl Default for RetryPolicy {
 /// The QO_N fallback tiers, strongest first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QonTier {
-    /// Subset dynamic programming (exact, `O(2^n)` memory).
+    /// Subset dynamic programming through the two-phase engine (exact;
+    /// `O(2^n)` memory with cartesian products admissible, one entry per
+    /// connected subgraph without).
     Dp,
     /// DPccp connected-subgraph DP (exact for the cartesian-free space,
     /// memory sized by the connected-subgraph count — polynomial on
@@ -134,7 +136,7 @@ impl QonTier {
 
     /// The default chain: `dp → ccp → bnb → ikkbz → greedy`. `ccp` covers
     /// the no-cartesian configs `dp` is too big for (sparse graphs far
-    /// past [`dp::MAX_N`]); with cartesian products admissible it reports
+    /// past [`engine::MAX_N`]); with cartesian products admissible it reports
     /// unsupported and the chain moves on.
     pub fn default_chain() -> Vec<QonTier> {
         vec![
@@ -226,18 +228,13 @@ pub struct QonDriverConfig {
     pub retry: RetryPolicy,
     /// Optional cooperative cancellation token.
     pub cancel: Option<CancelToken>,
-    /// Worker threads for the exact tiers: `1` keeps the classic
-    /// sequential algorithms, `0` means one worker per hardware thread,
-    /// and `> 1` routes the DP tier to the two-phase parallel
-    /// [`aqo_optimizer::engine`] and branch-and-bound to its shared-bound
-    /// parallel variant. The optimal cost is identical in every mode.
+    /// Worker threads for the exact tiers, `0` meaning one per hardware
+    /// thread. The DP tier always runs the two-phase
+    /// [`aqo_optimizer::engine`] (frontier mode from `allow_cartesian`),
+    /// which returns `dp::optimize`'s plan and cost bit for bit at every
+    /// thread count; `> 1` also switches branch-and-bound to its
+    /// shared-bound parallel variant (same optimal cost).
     pub threads: usize,
-    /// Route the DP tier through the two-phase [`aqo_optimizer::engine`]
-    /// even at `threads == 1` (by default one thread runs the classic
-    /// sequential DP, which reproduces `dp::optimize` bit for bit). The CLI
-    /// sets this when metrics or tracing are on so the deterministic
-    /// `optimizer.engine.*` counters are comparable across thread counts.
-    pub force_engine_dp: bool,
 }
 
 impl Default for QonDriverConfig {
@@ -249,7 +246,6 @@ impl Default for QonDriverConfig {
             retry: RetryPolicy::default(),
             cancel: None,
             threads: 1,
-            force_engine_dp: false,
         }
     }
 }
@@ -418,8 +414,6 @@ fn drive<T, Tier: Copy>(
     Err(DriverError { failures })
 }
 
-use faults::with_quiet_panics;
-
 /// Per-tier span for QO_N attempts, timing each tier's execution inside
 /// the driver chain (one static name per tier so the catalog scanner and
 /// the `span.<name>` histograms see every variant).
@@ -454,7 +448,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Optimizes a QO_N instance down the fallback chain. Exact arithmetic
 /// ([`BigRational`]) throughout, so a generous budget reproduces
-/// `dp::optimize` bit for bit.
+/// `aqo_optimizer::dp::optimize` bit for bit, plan included.
 pub fn optimize_qon(
     inst: &QoNInstance,
     cfg: &QonDriverConfig,
@@ -463,7 +457,6 @@ pub fn optimize_qon(
     let budget = cfg.budget.build(cfg.cancel.clone());
     let allow = cfg.allow_cartesian;
     let threads = cfg.threads;
-    let force_engine = cfg.force_engine_dp;
     drive(
         &cfg.chain,
         &budget,
@@ -476,15 +469,11 @@ pub fn optimize_qon(
             // The mask-based exact tiers reject oversized instances with a
             // structured failure (degrading down the chain) instead of
             // hitting their internal asserts or silent u32 wraparound.
-            QonTier::Dp if inst.n() > dp::MAX_N => Err(TierFailure::Unsupported(format!(
+            QonTier::Dp if inst.n() > engine::MAX_N => Err(TierFailure::Unsupported(format!(
                 "dp handles n <= {} (got n = {})",
-                dp::MAX_N,
+                engine::MAX_N,
                 inst.n()
             ))),
-            QonTier::Dp if threads == 1 && !force_engine => {
-                dp::optimize_with_budget::<BigRational>(inst, allow, budget)
-                    .map_err(TierFailure::Budget)
-            }
             QonTier::Dp => {
                 let opts = engine::DpOptions { allow_cartesian: allow, threads };
                 engine::optimize_two_phase::<BigRational>(inst, &opts, budget)

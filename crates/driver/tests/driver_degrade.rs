@@ -6,17 +6,18 @@
 //!     from the next tier;
 //! (c) a generous budget reproduces `dp::optimize` bit for bit.
 //!
-//! Fault sites are process-global, so tests that arm them serialize on
-//! [`FAULT_LOCK`].
+//! Fault sites are process-global and every driver run passes through
+//! them, so every test here serializes on [`FAULT_LOCK`]: an unlocked run
+//! would meet a sibling's armed fault.
 
 use aqo_bignum::{BigInt, BigRational, BigUint};
 use aqo_core::budget::CancelToken;
 use aqo_core::qoh::QoHInstance;
 use aqo_core::qon::QoNInstance;
-use aqo_core::{workloads, SelectivityMatrix};
+use aqo_core::{faults, workloads, SelectivityMatrix};
 use aqo_driver::{
-    faults, optimize_qoh, optimize_qon, BudgetSpec, QohDriverConfig, QohTier, QonDriverConfig,
-    QonTier, RetryPolicy,
+    optimize_qoh, optimize_qon, BudgetSpec, QohDriverConfig, QohTier, QonDriverConfig, QonTier,
+    RetryPolicy,
 };
 use aqo_graph::Graph;
 use aqo_optimizer::dp;
@@ -46,6 +47,7 @@ fn assert_valid_sequence(inst: &QoNInstance, outcome: &aqo_driver::QonOutcome) {
 
 #[test]
 fn clique_with_tiny_deadline_degrades_to_heuristic() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let inst = clique_instance(14, 7);
     let cfg = QonDriverConfig {
         budget: BudgetSpec { timeout: Some(Duration::ZERO), ..BudgetSpec::unlimited() },
@@ -92,6 +94,7 @@ fn injected_dp_panic_degrades_to_branch_and_bound() {
 
 #[test]
 fn generous_budget_is_bit_identical_to_direct_dp() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let inst = clique_instance(10, 11);
     let cfg = QonDriverConfig {
         budget: BudgetSpec {
@@ -171,6 +174,7 @@ fn every_tier_armed_means_driver_error() {
 
 #[test]
 fn pre_cancelled_token_skips_budgeted_tiers() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let token = CancelToken::new();
     token.cancel();
     let inst = clique_instance(9, 4);
@@ -195,6 +199,7 @@ fn chain_qon_instance(n: usize, seed: u64) -> QoNInstance {
 
 #[test]
 fn ccp_tier_answers_past_the_dp_cap_on_sparse_no_cartesian() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // n = 26 is over dp::MAX_N: dp must step aside with a structured
     // unsupported failure and ccp must answer exactly.
     let n = aqo_optimizer::dp::MAX_N + 1;
@@ -215,6 +220,7 @@ fn ccp_tier_answers_past_the_dp_cap_on_sparse_no_cartesian() {
 
 #[test]
 fn ccp_pin_with_cartesian_products_is_a_structured_unsupported_error() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Cartesian products can beat every connected order, so ccp refuses
     // rather than silently returning a non-optimal "exact" plan.
     let inst = chain_qon_instance(8, 22);
@@ -235,6 +241,7 @@ fn ccp_pin_with_cartesian_products_is_a_structured_unsupported_error() {
 
 #[test]
 fn n_over_mask_width_degrades_every_mask_tier_with_unsupported() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // n = 33 overflows every u32-mask tier (dp, ccp); the chain must
     // degrade to the polynomial tiers with structured failures, not
     // wrap masks or hit an assert-turned-panic.
@@ -262,6 +269,7 @@ fn n_over_mask_width_degrades_every_mask_tier_with_unsupported() {
 
 #[test]
 fn mask_tiers_accept_exactly_their_documented_caps() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Boundary: n == ccp::MAX_N (32) is in range for ccp and out of range
     // for dp; n == dp::MAX_N is in range for dp. Tiny deadline keeps the
     // in-range attempts cheap — a budget trip proves the tier *ran*.
@@ -291,6 +299,7 @@ fn qoh_chain_instance(n: usize) -> QoHInstance {
 
 #[test]
 fn qoh_driver_degrades_from_exhaustive_to_greedy() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let inst = qoh_chain_instance(6);
     // Unlimited: the exhaustive tier answers and is exact.
     let exact = optimize_qoh(&inst, &QohDriverConfig::default()).expect("feasible");

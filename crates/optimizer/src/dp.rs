@@ -10,6 +10,10 @@
 //! dp[{v}]      = 0
 //! dp[S ∪ {j}]  = min_{j ∉ S} dp[S] + N(S)·min_{k ∈ S} w_{jk}
 //! ```
+//!
+//! This is the independent sequential oracle. The driver and the CLI run
+//! the same recurrence through [`crate::engine::optimize_two_phase`],
+//! which returns this module's plan and cost bit for bit.
 
 use crate::Optimum;
 use aqo_bignum::BigUint;

@@ -673,7 +673,13 @@ fn exact_phase<S: CostScalar + Send + Sync>(
                     // members, and every member feeds wmin through its
                     // edge or the non-neighbour default branch.
                     let cand = dps.add(&ns.mul(wmin.expect("prefix nonempty")));
-                    if best.as_ref().is_none_or(|(b, _)| cand < *b) {
+                    // `<=` over ascending `j` keeps the largest `j` among
+                    // equal-cost predecessors: `dp.rs`'s tie rule (it meets
+                    // `T∖{j}` in ascending mask order and replaces only on
+                    // `<`). A pruned subset cannot tie with a target on the
+                    // returned plan, so the plans are identical, not just
+                    // the costs.
+                    if best.as_ref().is_none_or(|(b, _)| cand <= *b) {
                         best = Some((cand, j as u8));
                     }
                 }
@@ -860,9 +866,9 @@ pub fn optimize_log_parallel(
 /// only — exactly the reachable prefixes — so table sizes follow the
 /// query graph's density instead of `2^n`.
 ///
-/// Bit-identical to [`crate::dp::optimize_with_budget`] in returned cost
-/// for every thread count; the plan is a valid sequence achieving that
-/// cost (tie-breaking may choose a different equal-cost plan).
+/// Bit-identical to [`crate::dp::optimize_with_budget`] for every thread
+/// count: the same cost and the same plan, ties included (among equal-cost
+/// predecessors both keep the largest removed vertex).
 pub fn optimize_two_phase<S: CostScalar + Send + Sync>(
     inst: &QoNInstance,
     opts: &DpOptions,

@@ -23,7 +23,8 @@ use proptest::prelude::*;
 use std::sync::Mutex;
 
 /// The metrics registry and enable flag are process-global; every test
-/// that reads counters serializes on this lock.
+/// that runs an optimizer serializes on this lock, since a run overlapping
+/// a sibling's collection window adds to the counters that sibling reads.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 fn instance_from_graph(g: Graph, seed: u64) -> QoNInstance {
@@ -196,6 +197,7 @@ proptest! {
         n in 3usize..=9,
         family in 0usize..4,
     ) {
+        let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let g = match family {
             0 => chain(n),
             1 => cycle(n),
